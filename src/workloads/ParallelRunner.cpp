@@ -54,8 +54,9 @@ void ParallelRunner::forEachIndexWorker(
   auto Drain = [&](unsigned Worker) {
     GW_PROF_SCOPE("workloads.parallel_worker");
     for (size_t I = Next.fetch_add(1); I < Count; I = Next.fetch_add(1)) {
-      // Once any item throws, stop handing out work so the batch winds
-      // down quickly; items already claimed still finish.
+      // Once a failure is recorded, stop handing out work so the batch
+      // winds down quickly: an item claimed after that is skipped here,
+      // and only items already started finish.
       if (Failed.load(std::memory_order_relaxed))
         return;
       GW_PROF_SCOPE("workloads.parallel_item");

@@ -58,10 +58,13 @@ public:
 
   /// Like forEachIndex but \p Fn also receives the claiming worker id
   /// (0 = the caller thread; ids are dense in [0, min(jobs, Count))).
-  /// Exception-safe: if a work item throws, no further indices are
-  /// handed out, all workers are joined, and the *first* captured
-  /// exception is rethrown on the caller thread — a throwing item never
-  /// escapes a spawned std::thread into std::terminate.
+  /// Exception-safe: once a work item's exception reaches the runner,
+  /// handout stops and the throwing worker claims nothing more; all
+  /// workers are joined, and the *first* captured exception is rethrown
+  /// on the caller thread — a throwing item never escapes a spawned
+  /// std::thread into std::terminate. Items other workers claimed before
+  /// that point still run, so if the throwing thread is preempted while
+  /// the exception unwinds, every index may run.
   void forEachIndexWorker(
       size_t Count, const std::function<void(unsigned, size_t)> &Fn);
 

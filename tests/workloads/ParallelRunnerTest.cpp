@@ -27,6 +27,7 @@
 #include <mutex>
 #include <sstream>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 using namespace greenweb;
@@ -90,20 +91,50 @@ TEST(ParallelRunnerTest, ForEachIndexWorkerSingleJobIsAllCallerThread) {
 }
 
 TEST(ParallelRunnerTest, ThrowingItemRethrowsFirstExceptionOnCaller) {
-  ParallelRunner Runner(4);
+  // How many items run is up to the scheduler: the failure is recorded
+  // only once the exception has unwound out of Fn, and until then the
+  // other workers may claim every remaining index. So the checks below
+  // are the ones that hold under every schedule: the throwing worker
+  // claims nothing more, no index runs twice, and the first (here the
+  // only) exception reaches the caller.
+  constexpr unsigned Jobs = 4;
+  constexpr size_t Count = 200;
+  ParallelRunner Runner(Jobs);
+  // One row per worker. Each worker appends only to its own row, and the
+  // rows are read only after forEachIndexWorker has joined every worker.
+  std::vector<std::vector<size_t>> Rows(Jobs);
   std::atomic<int> Ran{0};
-  EXPECT_THROW(
-      Runner.forEachIndexWorker(200,
-                                [&](unsigned, size_t I) {
-                                  Ran.fetch_add(1);
-                                  if (I == 7)
-                                    throw std::runtime_error("item 7");
-                                }),
-      std::runtime_error);
-  // The failure stops further handout: some items ran, not all 200
-  // (each in-flight worker may finish its current item first).
+  std::string What;
+  try {
+    Runner.forEachIndexWorker(Count, [&](unsigned Worker, size_t I) {
+      Ran.fetch_add(1);
+      Rows.at(Worker).push_back(I);
+      if (I == 7)
+        throw std::runtime_error("item 7");
+    });
+    ADD_FAILURE() << "forEachIndexWorker returned without rethrowing";
+  } catch (const std::runtime_error &E) {
+    What = E.what();
+  }
+  EXPECT_EQ(What, "item 7");
   EXPECT_GE(Ran.load(), 1);
-  EXPECT_LT(Ran.load(), 200);
+
+  // The worker whose item threw stops: 7 is the last entry of its row.
+  size_t RowsWith7 = 0;
+  for (const std::vector<size_t> &Row : Rows) {
+    if (std::find(Row.begin(), Row.end(), size_t(7)) == Row.end())
+      continue;
+    ++RowsWith7;
+    EXPECT_EQ(Row.back(), 7u) << "the throwing worker claimed more items";
+  }
+  EXPECT_EQ(RowsWith7, 1u);
+
+  std::vector<int> Hits(Count, 0);
+  for (const std::vector<size_t> &Row : Rows)
+    for (size_t I : Row)
+      ++Hits.at(I);
+  for (size_t I = 0; I < Count; ++I)
+    EXPECT_LE(Hits[I], 1) << "index " << I;
 }
 
 TEST(ParallelRunnerTest, ThrowingItemUnderSingleJobStillPropagates) {
