@@ -2,16 +2,12 @@
 //
 // Part of the GreenWeb reproduction. Distributed under the MIT license.
 //
-// Measures the three hot paths the throughput overhaul targets, each
-// against its retained reference implementation in the same run:
+// Measures the simulator's hot paths:
 //
-//   1. Event kernel: events/sec through the calendar-queue kernel vs
-//      the pooled-control-block binary heap vs an in-file replica of
-//      the original kernel (two std::make_shared<bool> flags per event,
-//      std::priority_queue with a full event copy per pop).
-//   2. Style resolution: recalcs/sec through the bucketed rule index
-//      (cold after mutations, warm from the per-element cache) vs the
-//      retained naive O(rules x selectors) scan.
+//   1. Event kernel: events/sec through the calendar-queue kernel on
+//      coalesced and scattered timer churn.
+//   2. Style resolution: recalcs/sec through the bucketed rule index,
+//      cold after mutations and warm from the per-element cache.
 //   3. Scenario throughput: the full_evaluation sweep wall-clock with
 //      --jobs=1 vs --jobs=N through ParallelRunner.
 //   4. Warm start: a repeat experiment run restoring shared page assets
@@ -44,83 +40,12 @@
 #include <fstream>
 #include <functional>
 #include <memory>
-#include <queue>
 #include <string>
 #include <vector>
 
 using namespace greenweb;
 
 namespace {
-
-//===----------------------------------------------------------------------===//
-// Legacy event kernel replica (the pre-overhaul design, kept here as the
-// same-run baseline). Two heap-allocated shared_ptr<bool> flags per
-// event, std::priority_queue, and a full event copy on every pop.
-//===----------------------------------------------------------------------===//
-
-class LegacyKernel {
-public:
-  struct Handle {
-    std::shared_ptr<bool> Cancelled;
-    void cancel() {
-      if (Cancelled)
-        *Cancelled = true;
-    }
-  };
-
-  TimePoint now() const { return Now; }
-
-  Handle schedule(Duration Delay, std::function<void()> Fn) {
-    return scheduleAt(Now + Delay, std::move(Fn));
-  }
-
-  Handle scheduleAt(TimePoint When, std::function<void()> Fn) {
-    Event E;
-    E.When = When < Now ? Now : When;
-    E.Seq = NextSeq++;
-    E.Fn = std::move(Fn);
-    E.Cancelled = std::make_shared<bool>(false);
-    E.Fired = std::make_shared<bool>(false);
-    Handle H{E.Cancelled};
-    Queue.push(std::move(E));
-    return H;
-  }
-
-  uint64_t run() {
-    uint64_t Fired = 0;
-    while (!Queue.empty()) {
-      Event E = Queue.top(); // Copy, as the old kernel did.
-      Queue.pop();
-      if (*E.Cancelled)
-        continue;
-      Now = E.When;
-      *E.Fired = true;
-      ++Fired;
-      E.Fn();
-    }
-    return Fired;
-  }
-
-private:
-  struct Event {
-    TimePoint When;
-    uint64_t Seq = 0;
-    std::function<void()> Fn;
-    std::shared_ptr<bool> Cancelled;
-    std::shared_ptr<bool> Fired;
-  };
-  struct Later {
-    bool operator()(const Event &A, const Event &B) const {
-      if (A.When != B.When)
-        return A.When > B.When;
-      return A.Seq > B.Seq;
-    }
-  };
-
-  TimePoint Now;
-  uint64_t NextSeq = 0;
-  std::priority_queue<Event, std::vector<Event>, Later> Queue;
-};
 
 //===----------------------------------------------------------------------===//
 // Self-timed measurement loop
@@ -166,27 +91,24 @@ Measurement measure(const std::function<uint64_t()> &Round,
 /// costs); the round retires once Count fires have run. Two re-arm
 /// patterns:
 ///
-///  - Coalesced (the primary kernel comparison): every chain re-arms
-///    onto the next 1 ms-aligned deadline, the way real browser work
-///    clusters — vsync ticks, coalesced timers, DVFS epochs. Events
-///    pile up at shared timestamps, so a kernel's batch-drain behavior
-///    dominates: the calendar pops a whole cluster with cursor bumps
-///    off one already-sorted bucket, while a heap pays a full
-///    O(log n) sift per pop.
+///  - Coalesced: every chain re-arms onto the next 1 ms-aligned
+///    deadline, the way real browser work clusters — vsync ticks,
+///    coalesced timers, DVFS epochs. Events pile up at shared
+///    timestamps, so the calendar pops a whole cluster with cursor
+///    bumps off one already-sorted bucket.
 ///
 ///  - Scattered: each chain re-arms a fixed 100 us out, timestamps
 ///    spread uniformly, queue stays shallow. Per-event fixed overhead
-///    dominates and no kernel has much structural advantage; kept as
-///    the honest lower bound on the calendar's win.
-template <class Kernel> struct ChurnCtx {
-  Kernel K;
+///    dominates; this is the calendar's worst case.
+struct ChurnCtx {
+  Simulator Sim;
   uint64_t Fires = 0;
   uint64_t Budget = 0;
   uint64_t Scheduled = 0;
   bool Coalesced = false;
 };
 
-template <class Kernel> void churnTick(ChurnCtx<Kernel> *C) {
+void churnTick(ChurnCtx *C) {
   ++C->Fires;
   if (C->Budget == 0)
     return;
@@ -194,42 +116,32 @@ template <class Kernel> void churnTick(ChurnCtx<Kernel> *C) {
   ++C->Scheduled;
   if (C->Coalesced) {
     // Next 1 ms boundary at least 100 us out.
-    int64_t NowNs = C->K.now().nanos();
+    int64_t NowNs = C->Sim.now().nanos();
     int64_t Next = ((NowNs + 100'000) / 1'000'000 + 1) * 1'000'000;
-    C->K.scheduleAt(TimePoint() + Duration::nanoseconds(Next),
+    C->Sim.scheduleAt(TimePoint() + Duration::nanoseconds(Next),
                     [C] { churnTick(C); });
   } else {
-    C->K.schedule(Duration::microseconds(100), [C] { churnTick(C); });
+    C->Sim.schedule(Duration::microseconds(100), [C] { churnTick(C); });
   }
   if (C->Fires % 3 == 0) {
     ++C->Scheduled;
     auto Decoy =
-        C->K.schedule(Duration::microseconds(150), [C] { churnTick(C); });
+        C->Sim.schedule(Duration::microseconds(150), [C] { churnTick(C); });
     Decoy.cancel();
   }
 }
 
-/// Kernel-pinned simulators so the churn template measures each event
-/// kernel explicitly, independent of the process default.
-struct HeapSimulator : Simulator {
-  HeapSimulator() : Simulator(EventKernel::Heap) {}
-};
-struct CalendarSimulator : Simulator {
-  CalendarSimulator() : Simulator(EventKernel::Calendar) {}
-};
-
-template <class Kernel>
 uint64_t eventChurnRound(unsigned Count, unsigned Chains, bool Coalesced) {
-  ChurnCtx<Kernel> C;
+  ChurnCtx C;
   C.Budget = Count;
   C.Coalesced = Coalesced;
   for (unsigned I = 0; I < Chains && C.Budget > 0; ++I) {
     --C.Budget;
     ++C.Scheduled;
-    C.K.schedule(Duration::nanoseconds(int64_t(I) * 97),
+    C.Sim.schedule(Duration::nanoseconds(int64_t(I) * 97),
                  [&C] { churnTick(&C); });
   }
-  C.K.run();
+  C.Sim.run();
   return C.Scheduled; // Ops = every scheduled event, fired or cancelled.
 }
 
@@ -302,105 +214,52 @@ int main(int Argc, char **Argv) {
   constexpr unsigned ChurnChains = 1'024;
 
   // --- 1. Event kernel ---
-  Measurement Legacy = measure([] {
-    return eventChurnRound<LegacyKernel>(ChurnEvents, ChurnChains, true);
-  });
-  Measurement Pooled = measure([] {
-    return eventChurnRound<HeapSimulator>(ChurnEvents, ChurnChains, true);
-  });
-  Measurement Calendar = measure([] {
-    return eventChurnRound<CalendarSimulator>(ChurnEvents, ChurnChains,
-                                              true);
-  });
-  double KernelSpeedup =
-      Legacy.nsPerOp() > 0 ? Legacy.nsPerOp() / Pooled.nsPerOp() : 0;
-  double CalendarSpeedup =
-      Pooled.nsPerOp() > 0 ? Pooled.nsPerOp() / Calendar.nsPerOp() : 0;
+  Measurement Calendar = measure(
+      [] { return eventChurnRound(ChurnEvents, ChurnChains, true); });
+  // Scattered variant: shallow 32-chain queue, uniform 100 us re-arms.
+  Measurement ScatCal =
+      measure([] { return eventChurnRound(10'000, 32, false); });
 
-  TablePrinter Kernel("Event kernel (coalesced churn: 1024 chains on 1ms "
-                      "deadlines, 1/3 decoys cancelled)");
-  Kernel.row().cell("kernel").cell("ns/event").cell("events/sec");
+  TablePrinter Kernel("Event kernel (1/3 decoys cancelled)");
+  Kernel.row().cell("churn").cell("ns/event").cell("events/sec");
   Kernel.row()
-      .cell("legacy (2x shared_ptr<bool>)")
-      .cell(Legacy.nsPerOp(), 1)
-      .cell(Legacy.opsPerSec(), 0);
-  Kernel.row()
-      .cell("pooled binary heap")
-      .cell(Pooled.nsPerOp(), 1)
-      .cell(Pooled.opsPerSec(), 0);
-  Kernel.row()
-      .cell("calendar queue")
+      .cell("coalesced: 1024 chains on 1ms deadlines")
       .cell(Calendar.nsPerOp(), 1)
       .cell(Calendar.opsPerSec(), 0);
+  Kernel.row()
+      .cell("scattered: 32 chains, 100us re-arms")
+      .cell(ScatCal.nsPerOp(), 1)
+      .cell(ScatCal.opsPerSec(), 0);
   Kernel.print();
-  std::printf("event-kernel speedup: %.2fx heap vs legacy, %.2fx "
-              "calendar vs heap\n\n",
-              KernelSpeedup, CalendarSpeedup);
+  std::printf("\n");
 
-  Json.metric("event_kernel_legacy", Legacy.Ops, Legacy.nsPerOp(),
-              "events_per_sec", Legacy.opsPerSec(), "",
-              Legacy.SamplesNsPerOp);
-  Json.metric("event_kernel_pooled", Pooled.Ops, Pooled.nsPerOp(),
-              "events_per_sec", Pooled.opsPerSec(), "",
-              Pooled.SamplesNsPerOp);
   Json.metric("event_kernel_calendar", Calendar.Ops, Calendar.nsPerOp(),
               "events_per_sec", Calendar.opsPerSec(), "",
               Calendar.SamplesNsPerOp);
-  Json.scalar("event_kernel_speedup", KernelSpeedup, "x");
-  Json.scalar("event_kernel_calendar_speedup", CalendarSpeedup, "x");
-
-  // Scattered variant: shallow 32-chain queue, uniform 100 us re-arms.
-  // No batch-drain advantage here; this is the calendar's worst case
-  // and must still not lose to the heap.
-  Measurement ScatHeap = measure(
-      [] { return eventChurnRound<HeapSimulator>(10'000, 32, false); });
-  Measurement ScatCal = measure([] {
-    return eventChurnRound<CalendarSimulator>(10'000, 32, false);
-  });
-  double ScatSpeedup =
-      ScatHeap.nsPerOp() > 0 ? ScatHeap.nsPerOp() / ScatCal.nsPerOp() : 0;
-  std::printf("scattered churn (32 chains): heap %.1f ns/ev, calendar "
-              "%.1f ns/ev (%.2fx)\n\n",
-              ScatHeap.nsPerOp(), ScatCal.nsPerOp(), ScatSpeedup);
-  Json.metric("event_churn_scattered_pooled", ScatHeap.Ops,
-              ScatHeap.nsPerOp(), "events_per_sec", ScatHeap.opsPerSec(),
-              "", ScatHeap.SamplesNsPerOp);
   Json.metric("event_churn_scattered_calendar", ScatCal.Ops,
               ScatCal.nsPerOp(), "events_per_sec", ScatCal.opsPerSec(),
               "", ScatCal.SamplesNsPerOp);
-  Json.scalar("event_churn_scattered_speedup", ScatSpeedup, "x");
 
   // --- 2. Style resolution ---
   auto W = makeStyleWorld(400, 160);
   css::StyleResolver Resolver(W->Sheet);
-  auto RecalcAll = [&](bool Naive, bool Mutate) {
+  auto RecalcAll = [&](bool Mutate) {
     if (Mutate)
       W->Doc.bumpStyleVersion(); // Invalidates every cache entry.
     uint64_t Matched = 0;
     for (Element *E : W->Elements)
-      Matched += Naive ? Resolver.matchRulesNaive(*E).size()
-                       : Resolver.matchRules(*E).size();
+      Matched += Resolver.matchRules(*E).size();
     // Ops = elements recalculated; fold Matched in so the work cannot
     // be optimized away.
     return uint64_t(W->Elements.size()) + (Matched & 0);
   };
 
-  Measurement Naive =
-      measure([&] { return RecalcAll(/*Naive=*/true, /*Mutate=*/true); });
-  Measurement Cold =
-      measure([&] { return RecalcAll(/*Naive=*/false, /*Mutate=*/true); });
-  Measurement Warm =
-      measure([&] { return RecalcAll(/*Naive=*/false, /*Mutate=*/false); });
-  double StyleSpeedupCold = Naive.nsPerOp() / Cold.nsPerOp();
-  double StyleSpeedupWarm = Naive.nsPerOp() / Warm.nsPerOp();
+  Measurement Cold = measure([&] { return RecalcAll(/*Mutate=*/true); });
+  Measurement Warm = measure([&] { return RecalcAll(/*Mutate=*/false); });
 
   TablePrinter Style(
       "Style resolution (400 rules, 160 elements per recalc)");
   Style.row().cell("resolver").cell("ns/element").cell("recalcs/sec");
-  Style.row()
-      .cell("naive scan")
-      .cell(Naive.nsPerOp(), 1)
-      .cell(Naive.opsPerSec(), 0);
   Style.row()
       .cell("indexed, cold (mutation churn)")
       .cell(Cold.nsPerOp(), 1)
@@ -410,20 +269,14 @@ int main(int Argc, char **Argv) {
       .cell(Warm.nsPerOp(), 1)
       .cell(Warm.opsPerSec(), 0);
   Style.print();
-  std::printf("style-resolution speedup: %.2fx cold, %.2fx warm\n\n",
-              StyleSpeedupCold, StyleSpeedupWarm);
+  std::printf("\n");
 
-  Json.metric("style_naive", Naive.Ops, Naive.nsPerOp(),
-              "recalcs_per_sec", Naive.opsPerSec(), "",
-              Naive.SamplesNsPerOp);
   Json.metric("style_indexed_cold", Cold.Ops, Cold.nsPerOp(),
               "recalcs_per_sec", Cold.opsPerSec(), "",
               Cold.SamplesNsPerOp);
   Json.metric("style_indexed_warm", Warm.Ops, Warm.nsPerOp(),
               "recalcs_per_sec", Warm.opsPerSec(), "",
               Warm.SamplesNsPerOp);
-  Json.scalar("style_speedup_cold", StyleSpeedupCold, "x");
-  Json.scalar("style_speedup_warm", StyleSpeedupWarm, "x");
 
   // --- 3. Parallel scenario sweep ---
   std::vector<ExperimentConfig> Configs;

@@ -21,7 +21,8 @@
 // artifact flag implies it.
 //
 // With no arguments, runs a compact sweep of one app per QoS category
-// under every governor.
+// under every governor. An unrecognised `--` flag prints usage and
+// exits 2; it is never taken for a path.
 //
 //===----------------------------------------------------------------------===//
 
@@ -50,6 +51,18 @@
 using namespace greenweb;
 
 namespace {
+
+int usage() {
+  std::fprintf(stderr,
+               "usage: full_evaluation [APP GOVERNOR [micro|full] [PATH]]\n"
+               "         [--trace=PATH] [--log=PATH] [--metrics=PATH] "
+               "[--blackbox=PATH]\n"
+               "         [--sched=PATH] [--alerts] [--progress] "
+               "[--diagnose] [--jobs=N]\n"
+               "         [--prof] [--prof-out=BASE] "
+               "[--prof-sample=MICROS]\n");
+  return 2;
+}
 
 void printDetailed(const ExperimentResult &R) {
   std::printf("%s under %s (%s interaction, seed %llu)\n", R.App.c_str(),
@@ -264,7 +277,12 @@ int main(int Argc, char **Argv) {
       Diagnose = true;
     else if (Arg.rfind("--jobs=", 0) == 0)
       Jobs = unsigned(std::atoi(Arg.c_str() + 7));
-    else if (!Artifacts.parseFlag(Arg))
+    else if (Artifacts.parseFlag(Arg))
+      continue;
+    else if (Arg.rfind("--", 0) == 0) {
+      std::fprintf(stderr, "error: unknown flag %s\n", Arg.c_str());
+      return usage();
+    } else
       Positional.push_back(std::move(Arg));
   }
   Artifacts.beginRun(Argc, Argv);

@@ -118,7 +118,7 @@ static void buildIndexInto(StyleResolver::RuleIndex &Index,
     for (size_t SelIdx = 0; SelIdx < Rule.Selectors.size(); ++SelIdx) {
       const ComplexSelector &Selector = Rule.Selectors[SelIdx];
       if (Selector.Compounds.empty())
-        continue; // Matches nothing, like the naive scan.
+        continue; // A selector with no compounds matches nothing.
       StyleResolver::IndexedSelector Indexed;
       Indexed.RuleIdx = uint32_t(RuleIdx);
       Indexed.SelIdx = uint32_t(SelIdx);
@@ -161,8 +161,7 @@ const StyleResolver::RuleIndex &StyleResolver::activeIndex() const {
   return Own;
 }
 
-std::vector<MatchedRule>
-StyleResolver::matchRulesIndexed(const Element &E) const {
+std::vector<MatchedRule> StyleResolver::matchRules(const Element &E) const {
   GW_PROF_SCOPE("css.match_indexed");
   const RuleIndex &Index = activeIndex();
   uint64_t Version = E.document().styleVersion();
@@ -182,9 +181,8 @@ StyleResolver::matchRulesIndexed(const Element &E) const {
   }
 
   AncestorFilter Filter = buildAncestorFilter(E);
-  // (rule, specificity) per confirmed candidate; folded to the best
-  // specificity per rule below, mirroring the naive scan's choice of
-  // each rule's most specific matching selector.
+  // (rule, specificity) per confirmed candidate; folded below to each
+  // rule's most specific matching selector.
   std::vector<std::pair<uint32_t, Specificity>> Confirmed;
   auto Consider = [&](const std::vector<IndexedSelector> &Bucket) {
     for (const IndexedSelector &Indexed : Bucket) {
@@ -214,7 +212,7 @@ StyleResolver::matchRulesIndexed(const Element &E) const {
   Consider(Index.UniversalBucket);
 
   // Best specificity per rule (source order is unique per rule, so the
-  // final (Spec, Order) sort gives exactly the naive scan's order).
+  // final (Spec, Order) sort is a total order).
   std::sort(Confirmed.begin(), Confirmed.end());
   std::vector<MatchedRule> Matches;
   for (size_t I = 0; I < Confirmed.size();) {
@@ -235,39 +233,6 @@ StyleResolver::matchRulesIndexed(const Element &E) const {
   CacheEntry &Entry = Cache[E.nodeId()];
   Entry.Version = Version;
   Entry.Matches = Matches;
-  return Matches;
-}
-
-std::vector<MatchedRule> StyleResolver::matchRules(const Element &E) const {
-  if (!IndexEnabled)
-    return matchRulesNaive(E);
-  return matchRulesIndexed(E);
-}
-
-std::vector<MatchedRule>
-StyleResolver::matchRulesNaive(const Element &E) const {
-  GW_PROF_SCOPE("css.match_naive");
-  std::vector<MatchedRule> Matches;
-  for (size_t Order = 0; Order < Sheet.Rules.size(); ++Order) {
-    const StyleRule &Rule = Sheet.Rules[Order];
-    // A rule's cascade priority comes from its most specific matching
-    // selector.
-    const ComplexSelector *Best = nullptr;
-    for (const ComplexSelector &Selector : Rule.Selectors) {
-      if (!Selector.matches(E))
-        continue;
-      if (!Best || Best->specificity() < Selector.specificity())
-        Best = &Selector;
-    }
-    if (Best)
-      Matches.push_back({&Rule, Best->specificity(), Order});
-  }
-  std::stable_sort(Matches.begin(), Matches.end(),
-                   [](const MatchedRule &A, const MatchedRule &B) {
-                     if (A.Spec != B.Spec)
-                       return A.Spec < B.Spec;
-                     return A.Order < B.Order;
-                   });
   return Matches;
 }
 

@@ -13,6 +13,7 @@
 #include "workloads/Apps.h"
 
 #include <algorithm>
+#include <cmath>
 
 using namespace greenweb;
 
@@ -125,6 +126,40 @@ bool stringList(const json::Value &Doc, const char *Key,
   return true;
 }
 
+/// Converts a plan number to an integer in [\p Min, \p Max]. A plain
+/// cast would turn -3 replicas into 4,294,967,293 and is undefined for
+/// values outside the target type, so anything negative, fractional,
+/// non-finite or out of range is refused with the field named.
+bool integerValue(const json::Value &V, const char *Field, uint64_t Min,
+                  uint64_t Max, uint64_t &Out, std::string *Error) {
+  if (!V.isNumber() || !std::isfinite(V.Num) ||
+      V.Num != std::floor(V.Num) || V.Num < double(Min) ||
+      V.Num > double(Max)) {
+    if (Error)
+      *Error = formatString(
+          "plan field '%s' must be an integer in [%llu, %llu], got %s",
+          Field, static_cast<unsigned long long>(Min),
+          static_cast<unsigned long long>(Max),
+          V.isNumber() ? formatString("%.17g", V.Num).c_str()
+                       : "a non-number");
+    return false;
+  }
+  Out = uint64_t(V.Num);
+  return true;
+}
+
+/// Optional integer field: \p Out keeps its default when \p Key is
+/// absent.
+bool integerField(const json::Value &Doc, const char *Key, uint64_t Min,
+                  uint64_t Max, uint64_t &Out, std::string *Error) {
+  const json::Value *V = Doc.get(Key);
+  return !V || integerValue(*V, Key, Min, Max, Out, Error);
+}
+
+/// Seeds travel through JSON doubles, which hold every integer up to
+/// 2^53 exactly and no larger range.
+constexpr uint64_t MaxSeed = uint64_t(1) << 53;
+
 } // namespace
 
 bool FleetPlan::parse(const std::string &Text, FleetPlan &Out,
@@ -159,21 +194,27 @@ bool FleetPlan::parse(const std::string &Text, FleetPlan &Out,
       return Fail("plan field 'seeds' is not an array");
     P.Seeds.clear();
     for (const json::Value &E : V->Arr) {
-      if (!E.isNumber())
-        return Fail("plan field 'seeds' holds a non-number");
-      P.Seeds.push_back(uint64_t(E.Num));
+      uint64_t Seed = 0;
+      if (!integerValue(E, "seeds", 0, MaxSeed, Seed, Error))
+        return false;
+      P.Seeds.push_back(Seed);
     }
   }
-  P.Replicas = uint32_t(Doc->numberOr("replicas", 1));
-  P.MicroRepetitions = unsigned(Doc->numberOr("micro_repetitions", 8));
+  uint64_t Replicas = P.Replicas, MicroRepetitions = P.MicroRepetitions;
+  if (!integerField(*Doc, "replicas", 1, UINT32_MAX, Replicas, Error) ||
+      !integerField(*Doc, "micro_repetitions", 1, UINT32_MAX,
+                    MicroRepetitions, Error))
+    return false;
+  P.Replicas = uint32_t(Replicas);
+  P.MicroRepetitions = unsigned(MicroRepetitions);
   P.BaselineGovernor = Doc->stringOr(
       "baseline_governor", P.Governors.empty() ? "" : P.Governors.front());
   P.ModelPath = Doc->stringOr("model", "");
 
   if (P.Apps.empty() || P.Governors.empty() || P.Seeds.empty())
     return Fail("plan needs non-empty apps, governors, and seeds");
-  if (P.Scenarios.empty() || P.Replicas == 0)
-    return Fail("plan needs at least one scenario and one replica");
+  if (P.Scenarios.empty())
+    return Fail("plan needs at least one scenario");
 
   std::vector<std::string> KnownApps = allAppNames();
   for (const std::string &App : P.Apps)

@@ -126,6 +126,23 @@ bool greenweb::runFleet(const FleetPlan &Plan, const FleetRunOptions &Opts,
              << featureHeaderLine(LadderLevels) << "\n";
   }
 
+  auto BlackBoxPath = [&Opts](const std::string &Ref) {
+    return Opts.CheckpointPath + "." + Ref + ".blackbox.json";
+  };
+  // Black boxes of devices pushed out of the worst-k list. Each file is
+  // removed only once a checkpoint that no longer names it is on disk,
+  // so a run killed in between resumes from a checkpoint whose every
+  // named black box still exists.
+  std::vector<std::string> Displaced;
+  auto WriteCheckpoint = [&] {
+    if (!writeFileAtomic(Opts.CheckpointPath, C.serialize(), Error))
+      return false;
+    for (const std::string &Ref : Displaced)
+      std::remove(BlackBoxPath(Ref).c_str());
+    Displaced.clear();
+    return true;
+  };
+
   WarmCache Warm;
   SchedProgress Progress;
   uint64_t ExecutedBatches = 0;
@@ -222,6 +239,11 @@ bool greenweb::runFleet(const FleetPlan &Plan, const FleetRunOptions &Opts,
                    << "\n";
       }
 
+    std::vector<std::string> NamedBefore;
+    for (const FleetWorstDevice &D : C.State.Worst)
+      if (!D.BlackBoxRef.empty())
+        NamedBefore.push_back(D.BlackBoxRef);
+
     // Fold in item order — the one order every invocation shares.
     FleetShardRollup Rollup;
     Rollup.Shard = B;
@@ -255,19 +277,24 @@ bool greenweb::runFleet(const FleetPlan &Plan, const FleetRunOptions &Opts,
       Rollup.WorstViolationPct = 0.0;
     C.State.Shards.push_back(std::move(Rollup));
 
-    // Persist black boxes for batch devices that made the worst-k cut.
-    if (Durable)
+    // Persist black boxes for batch devices that made the worst-k cut;
+    // the checkpoint names each one, so a failed write fails the run.
+    if (Durable) {
       for (const FleetWorstDevice &D : C.State.Worst) {
         if (D.Item < First || D.Item >= First + Count ||
             D.BlackBoxRef.empty())
           continue;
-        const std::string &Dump = BlackBoxes[size_t(D.Item - First)];
-        if (Dump.empty())
-          continue;
-        writeFileAtomic(Opts.CheckpointPath + "." + D.BlackBoxRef +
-                            ".blackbox.json",
-                        Dump, nullptr);
+        if (!writeFileAtomic(BlackBoxPath(D.BlackBoxRef),
+                             BlackBoxes[size_t(D.Item - First)], Error))
+          return false;
       }
+      for (const std::string &Ref : NamedBefore)
+        if (std::none_of(C.State.Worst.begin(), C.State.Worst.end(),
+                         [&Ref](const FleetWorstDevice &D) {
+                           return D.BlackBoxRef == Ref;
+                         }))
+          Displaced.push_back(Ref);
+    }
 
     for (uint64_t I = 0; I < Count; ++I)
       C.markDone(First + I);
@@ -276,7 +303,7 @@ bool greenweb::runFleet(const FleetPlan &Plan, const FleetRunOptions &Opts,
     ++SinceCheckpoint;
     if (Durable &&
         SinceCheckpoint >= std::max(1u, Opts.CheckpointEveryBatches)) {
-      if (!writeFileAtomic(Opts.CheckpointPath, C.serialize(), Error))
+      if (!WriteCheckpoint())
         return false;
       SinceCheckpoint = 0;
     }
@@ -291,7 +318,7 @@ bool greenweb::runFleet(const FleetPlan &Plan, const FleetRunOptions &Opts,
     Out.Report = FleetReport::fromCheckpoint(C);
   }
   if (Durable && (SinceCheckpoint > 0 || Out.Complete))
-    if (!writeFileAtomic(Opts.CheckpointPath, C.serialize(), Error))
+    if (!WriteCheckpoint())
       return false;
   return true;
 }

@@ -17,8 +17,9 @@
 ///
 /// Each batch runs with per-item private telemetry hubs, the online
 /// anomaly detectors, the flight recorder (black-box dumps of worst
-/// devices persist next to the checkpoint), and a fleet-wide WarmCache
-/// so every (app, seed) page is built once per process.
+/// devices persist next to the checkpoint; only those the checkpoint
+/// names stay on disk), and a fleet-wide WarmCache so every (app, seed)
+/// page is built once per process.
 ///
 //===----------------------------------------------------------------------===//
 
