@@ -330,6 +330,11 @@ int main(int Argc, char **Argv) {
                  Config.AppName.c_str());
     return 1;
   }
+  if (!governors::isKnown(Config.GovernorName)) {
+    std::fprintf(stderr, "error: unknown governor '%s'\n",
+                 Config.GovernorName.c_str());
+    return usage();
+  }
   printDetailed(runExperiment(Config));
   if (Artifacts.any() || Artifacts.Prof || Diagnose)
     exportTrace(Config, Artifacts);

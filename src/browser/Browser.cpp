@@ -721,7 +721,8 @@ void Browser::recordStage(const char *Stage) {
 
 SpanTracer *Browser::tracer() const {
   Telemetry *T = Sim.telemetry();
-  return T && T->enabled() ? &T->spans() : nullptr;
+  return T && T->enabled() && T->spans().tracingEnabled() ? &T->spans()
+                                                          : nullptr;
 }
 
 int64_t Browser::beginRootSpan(uint64_t RootId, const std::string &Type) {
@@ -816,12 +817,8 @@ void Browser::finishFrame() {
   FrameMsgs.clear();
   FrameInFlight = false;
 
-  if (Telemetry *T = Sim.telemetry(); T && T->enabled()) {
-    T->metrics().counter("browser.frames").add(1);
-    T->metrics()
-        .histogram("browser.frame_latency_ms", defaultLatencyBucketsMs())
-        .observe(Record.maxLatency().millis());
-  }
+  if (Telemetry *T = Sim.telemetry(); T && T->enabled())
+    T->recordFrame(Record.maxLatency().millis());
 
   for (FrameObserver *O : Observers)
     O->onFrameReady(Record);

@@ -214,7 +214,8 @@ private:
   /// previous stage boundary and advances the boundary.
   void recordStage(const char *Stage);
 
-  /// The attached hub's span tracer, or nullptr when telemetry is off.
+  /// The attached hub's span tracer, or nullptr when telemetry or span
+  /// tracing is off.
   SpanTracer *tracer() const;
   /// Opens the lifetime span of root \p RootId ("input:<type>" on the
   /// "inputs" track) and makes it the ambient context; returns the

@@ -82,6 +82,7 @@ Element *Element::appendChild(std::unique_ptr<Element> Child) {
   // Attachment changes ancestor chains, which descendant/child
   // combinators observe.
   Doc.bumpStyleVersion();
+  Doc.bumpTreeVersion();
   return Children.back().get();
 }
 
@@ -198,9 +199,12 @@ void Document::forEachElement(const std::function<void(Element &)> &Fn) {
 }
 
 size_t Document::elementCount() {
-  size_t Count = 0;
-  forEachElement([&](Element &) { ++Count; });
-  return Count;
+  if (CountedVersion != TreeVersion) {
+    CachedCount = 0;
+    forEachElement([&](Element &) { ++CachedCount; });
+    CountedVersion = TreeVersion;
+  }
+  return CachedCount;
 }
 
 void Document::indexElementId(const std::string &Id, Element *E) {

@@ -183,7 +183,8 @@ public:
   /// Visits every element in the tree pre-order.
   void forEachElement(const std::function<void(Element &)> &Fn);
 
-  /// Total number of elements in the tree.
+  /// Total number of elements in the tree. Cached against the tree
+  /// version, so the walk runs once per tree change, not per call.
   size_t elementCount();
 
   /// Raw <style> block texts collected by the HTML parser, in document
@@ -209,11 +210,16 @@ public:
 
   /// --- Internal (used by Element) ---
   uint64_t takeNodeId() { return NextNodeId++; }
+  /// Called on every structural change (appendChild is the only one).
+  void bumpTreeVersion() { ++TreeVersion; }
   void indexElementId(const std::string &Id, Element *E);
 
 private:
   uint64_t NextNodeId = 1;
   uint64_t StyleVersion = 1;
+  uint64_t TreeVersion = 1;
+  uint64_t CountedVersion = 0; ///< TreeVersion CachedCount was taken at.
+  size_t CachedCount = 0;
   std::unique_ptr<Element> Root;
   std::map<std::string, Element *, std::less<>> IdIndex;
 };

@@ -224,6 +224,8 @@ void GreenWebRuntime::recordDecisionSpan(Telemetry &T,
   // Zero-length marker on the governor track; critical-path reports use
   // it to correlate "what did the governor last decide for this root".
   SpanTracer &Tr = T.spans();
+  if (!Tr.tracingEnabled())
+    return;
   int64_t Id = Tr.begin("decision:" + Reason, "governor", RootId, 0,
                         /*Parent=*/0);
   Tr.end(Id);

@@ -51,7 +51,8 @@ SimThread::~SimThread() {
 
 SpanTracer *SimThread::tracer() const {
   Telemetry *T = Sim.telemetry();
-  return T && T->enabled() ? &T->spans() : nullptr;
+  return T && T->enabled() && T->spans().tracingEnabled() ? &T->spans()
+                                                          : nullptr;
 }
 
 void SimThread::post(SimTask Task) {

@@ -149,7 +149,8 @@ public:
   size_t delayedPoolSlots() const { return DelayedPool.size(); }
 
 private:
-  /// The attached hub's span tracer, or nullptr when telemetry is off.
+  /// The attached hub's span tracer, or nullptr when telemetry or span
+  /// tracing is off.
   SpanTracer *tracer() const;
 
   void startNext();

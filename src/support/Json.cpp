@@ -38,7 +38,19 @@ public:
 private:
   std::string_view Text;
   size_t Pos = 0;
+  size_t Depth = 0; ///< Open arrays/objects around the current value.
   std::string Msg = "malformed JSON";
+
+  /// Enters one array/object level; false (with the message set) past
+  /// MaxNestingDepth, so hostile input cannot exhaust the stack.
+  bool enter() {
+    if (Depth == MaxNestingDepth) {
+      Msg = formatString("nesting deeper than %zu levels", MaxNestingDepth);
+      return false;
+    }
+    ++Depth;
+    return true;
+  }
 
   void fail(std::string *Error) const {
     if (Error)
@@ -156,11 +168,14 @@ private:
       return false;
     switch (Text[Pos]) {
     case '{': {
+      if (!enter())
+        return false;
       ++Pos;
       V.K = Value::Kind::Object;
       skipWs();
       if (Pos < Text.size() && Text[Pos] == '}') {
         ++Pos;
+        --Depth;
         return true;
       }
       while (true) {
@@ -188,6 +203,7 @@ private:
         }
         if (Pos < Text.size() && Text[Pos] == '}') {
           ++Pos;
+          --Depth;
           return true;
         }
         Msg = "expected ',' or '}'";
@@ -195,11 +211,14 @@ private:
       }
     }
     case '[': {
+      if (!enter())
+        return false;
       ++Pos;
       V.K = Value::Kind::Array;
       skipWs();
       if (Pos < Text.size() && Text[Pos] == ']') {
         ++Pos;
+        --Depth;
         return true;
       }
       while (true) {
@@ -215,6 +234,7 @@ private:
         }
         if (Pos < Text.size() && Text[Pos] == ']') {
           ++Pos;
+          --Depth;
           return true;
         }
         Msg = "expected ',' or ']'";

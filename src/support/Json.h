@@ -17,6 +17,7 @@
 #ifndef GREENWEB_SUPPORT_JSON_H
 #define GREENWEB_SUPPORT_JSON_H
 
+#include <cstddef>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -51,6 +52,11 @@ struct Value {
   std::string stringOr(std::string_view Key,
                        const std::string &Default) const;
 };
+
+/// Deepest array/object nesting parse() accepts. The parser recurses
+/// once per level, so deeper input is refused rather than allowed to
+/// exhaust the stack; this repo's artifacts nest a few levels deep.
+inline constexpr size_t MaxNestingDepth = 256;
 
 /// Parses exactly one JSON value (plus surrounding whitespace). On
 /// failure returns nullopt and, when \p Error is given, a short

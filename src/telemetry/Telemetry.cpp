@@ -34,6 +34,39 @@ void Telemetry::enableFlightRecorder(const FlightRecorderConfig &C) {
   Recorder = std::make_unique<FlightRecorder>(C);
 }
 
+std::unique_ptr<FlightRecorder> Telemetry::takeFlightRecorder() {
+  return std::move(Recorder);
+}
+
+Counter &Telemetry::counterOnce(Counter *&Slot, std::string_view Name) {
+  if (!Slot)
+    Slot = &Metrics.counter(Name);
+  return *Slot;
+}
+
+Gauge &Telemetry::gaugeOnce(Gauge *&Slot, std::string_view Name) {
+  if (!Slot)
+    Slot = &Metrics.gauge(Name);
+  return *Slot;
+}
+
+Histogram &Telemetry::histogramOnce(Histogram *&Slot,
+                                    std::string_view Name) {
+  if (!Slot)
+    Slot = &Metrics.histogram(Name, defaultLatencyBucketsMs());
+  return *Slot;
+}
+
+Histogram &Telemetry::stageHistogram(const std::string &Stage) {
+  for (auto &[Name, H] : StageHists)
+    if (Name == Stage)
+      return *H;
+  Histogram &H = Metrics.histogram("browser.stage_" + Stage + "_ms",
+                                   defaultLatencyBucketsMs());
+  StageHists.emplace_back(Stage, &H);
+  return H;
+}
+
 void Telemetry::appendRecord(TelemetryEventKind Kind,
                              std::vector<TelemetryField> Fields) {
   if (Bank || Recorder) {
@@ -41,7 +74,7 @@ void Telemetry::appendRecord(TelemetryEventKind Kind,
     return;
   }
   if (Log.size() >= LogCapacity) {
-    Metrics.counter("telemetry.dropped_records").add();
+    counterOnce(DroppedCtr, "telemetry.dropped_records").add();
     return;
   }
   Log.append(Kind, now(), std::move(Fields));
@@ -60,7 +93,7 @@ void Telemetry::observeAndAppend(TelemetryEventKind Kind,
   if (Log.size() < LogCapacity)
     Log.append(R.Kind, R.Ts, std::move(R.Fields));
   else
-    Metrics.counter("telemetry.dropped_records").add();
+    counterOnce(DroppedCtr, "telemetry.dropped_records").add();
   for (TelemetryRecord &A : Alerts) {
     if (AlertsCtr)
       AlertsCtr->add();
@@ -80,7 +113,7 @@ void Telemetry::mergeLogFrom(const TelemetryLog &Other) {
     // alerts grow Log.size() and so count against later capacity
     // checks, exactly as live.
     if (R.Kind != TelemetryEventKind::Alert && Log.size() >= LogCapacity) {
-      Metrics.counter("telemetry.dropped_records").add();
+      counterOnce(DroppedCtr, "telemetry.dropped_records").add();
       continue;
     }
     Log.append(R.Kind, R.Ts, R.Fields);
@@ -90,7 +123,7 @@ void Telemetry::mergeLogFrom(const TelemetryLog &Other) {
 void Telemetry::recordGovernorDecision(const GovernorDecisionRecord &R) {
   if (!Enabled)
     return;
-  Metrics.counter("governor.decisions").add();
+  counterOnce(DecisionsCtr, "governor.decisions").add();
   appendRecord(TelemetryEventKind::GovernorDecision,
                {{"governor", R.Governor},
                 {"reason", R.Reason},
@@ -122,10 +155,11 @@ void Telemetry::recordConfigSwitch(const ConfigSwitchRecord &R) {
   if (!Enabled)
     return;
   if (R.FreqChanged)
-    Metrics.counter("hw.freq_switches").add();
+    counterOnce(FreqSwitchesCtr, "hw.freq_switches").add();
   if (R.Migrated)
-    Metrics.counter("hw.migrations").add();
-  Metrics.gauge("hw.switch_penalty_us_total").add(R.PenaltyUs);
+    counterOnce(MigrationsCtr, "hw.migrations").add();
+  gaugeOnce(SwitchPenaltyGauge, "hw.switch_penalty_us_total")
+      .add(R.PenaltyUs);
   appendRecord(TelemetryEventKind::ConfigSwitch,
                {{"from", R.FromConfig},
                 {"to", R.ToConfig},
@@ -139,10 +173,7 @@ void Telemetry::recordConfigSwitch(const ConfigSwitchRecord &R) {
 void Telemetry::recordFrameStage(const FrameStageRecord &R) {
   if (!Enabled)
     return;
-  Metrics
-      .histogram("browser.stage_" + R.Stage + "_ms",
-                 defaultLatencyBucketsMs())
-      .observe(R.DurationMs);
+  stageHistogram(R.Stage).observe(R.DurationMs);
   // Hot per-frame path: build fields in place instead of copying an
   // initializer list of string-carrying variants.
   std::vector<TelemetryField> Fields;
@@ -172,7 +203,7 @@ void Telemetry::recordQosViolation(const QosViolationRecord &R) {
 void Telemetry::recordSpan(const SpanTracer::Span &S, bool Truncated) {
   if (!Enabled)
     return;
-  Metrics.counter("telemetry.spans").add();
+  counterOnce(SpansCtr, "telemetry.spans").add();
   // Hot path: one record per completed span.
   std::vector<TelemetryField> Fields;
   Fields.reserve(9);
@@ -191,9 +222,9 @@ void Telemetry::recordSpan(const SpanTracer::Span &S, bool Truncated) {
 void Telemetry::recordEnergySample(const EnergySampleRecord &R) {
   if (!Enabled)
     return;
-  Metrics.counter("hw.energy_samples").add();
-  Metrics.gauge("hw.power_watts").set(R.Watts);
-  Metrics.gauge("hw.cumulative_joules").set(R.CumulativeJoules);
+  counterOnce(EnergySamplesCtr, "hw.energy_samples").add();
+  gaugeOnce(PowerGauge, "hw.power_watts").set(R.Watts);
+  gaugeOnce(JoulesGauge, "hw.cumulative_joules").set(R.CumulativeJoules);
   appendRecord(TelemetryEventKind::EnergySample,
                {{"watts", R.Watts},
                 {"joules", R.CumulativeJoules},
@@ -218,4 +249,12 @@ void Telemetry::recordCounterSample(const std::string &Track,
   Metrics.gauge("counter." + Track).set(Value);
   appendRecord(TelemetryEventKind::CounterSample,
                {{"track", Track}, {"value", Value}});
+}
+
+void Telemetry::recordFrame(double MaxLatencyMs) {
+  if (!Enabled)
+    return;
+  counterOnce(FramesCtr, "browser.frames").add();
+  histogramOnce(FrameLatencyHist, "browser.frame_latency_ms")
+      .observe(MaxLatencyMs);
 }

@@ -32,6 +32,9 @@
 #include <limits>
 #include <memory>
 #include <string>
+#include <string_view>
+#include <utility>
+#include <vector>
 
 namespace greenweb {
 
@@ -185,6 +188,10 @@ public:
   const DetectorBank *detectors() const { return Bank.get(); }
   FlightRecorder *flightRecorder() { return Recorder.get(); }
   const FlightRecorder *flightRecorder() const { return Recorder.get(); }
+  /// Detaches the flight recorder (null if none): records after the
+  /// call no longer reach a ring. The fleet keeps a finished run's
+  /// recorder this way and formats its dumps only if it writes them.
+  std::unique_ptr<FlightRecorder> takeFlightRecorder();
 
   /// --- Typed recorders (no-ops when disabled) ---
   void recordGovernorDecision(const GovernorDecisionRecord &R);
@@ -196,6 +203,10 @@ public:
   void recordFaultEvent(const FaultEventRecord &R);
   /// Generic time-series point for an extra trace counter track.
   void recordCounterSample(const std::string &Track, double Value);
+  /// A displayed frame: counts browser.frames and observes its worst
+  /// input latency in browser.frame_latency_ms (metrics only, no log
+  /// record).
+  void recordFrame(double MaxLatencyMs);
 
 private:
   friend class SpanTracer;
@@ -213,6 +224,15 @@ private:
   /// Mirrors a completed span into the metrics + log (SpanTracer only).
   void recordSpan(const SpanTracer::Span &S, bool Truncated);
 
+  /// Hot-path metric handles, looked up by name on first use and kept:
+  /// a hub that never records registers nothing, as before. Registry
+  /// entries are map nodes, so the pointers stay valid while the hub
+  /// lives (nothing clears a hub's registry).
+  Counter &counterOnce(Counter *&Slot, std::string_view Name);
+  Gauge &gaugeOnce(Gauge *&Slot, std::string_view Name);
+  Histogram &histogramOnce(Histogram *&Slot, std::string_view Name);
+  Histogram &stageHistogram(const std::string &Stage);
+
   ClockFn Clock;
   bool Enabled = true;
   size_t LogCapacity = std::numeric_limits<size_t>::max();
@@ -222,6 +242,20 @@ private:
   std::unique_ptr<DetectorBank> Bank;
   std::unique_ptr<FlightRecorder> Recorder;
   Counter *AlertsCtr = nullptr; ///< Cached "telemetry.alerts".
+  Counter *DroppedCtr = nullptr;
+  Counter *DecisionsCtr = nullptr;
+  Counter *FreqSwitchesCtr = nullptr;
+  Counter *MigrationsCtr = nullptr;
+  Gauge *SwitchPenaltyGauge = nullptr;
+  Counter *FramesCtr = nullptr;
+  Histogram *FrameLatencyHist = nullptr;
+  Counter *SpansCtr = nullptr;
+  Counter *EnergySamplesCtr = nullptr;
+  Gauge *PowerGauge = nullptr;
+  Gauge *JoulesGauge = nullptr;
+  /// browser.stage_<Stage>_ms by stage name; a handful of stages, so a
+  /// linear scan beats building the metric name per record.
+  std::vector<std::pair<std::string, Histogram *>> StageHists;
 };
 
 } // namespace greenweb

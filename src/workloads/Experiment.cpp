@@ -21,6 +21,7 @@
 #include <algorithm>
 #include <cassert>
 #include <chrono>
+#include <stdexcept>
 
 using namespace greenweb;
 
@@ -254,7 +255,7 @@ makeGovernor(const ExperimentConfig &Config, AnnotationRegistry &Registry,
     RT->setEnergyMeter(&Meter);
     return RT;
   }
-  assert(false && "unknown governor name");
+  assert(false && "runExperiment rejects unknown governor names");
   return nullptr;
 }
 
@@ -566,8 +567,19 @@ static ExperimentResult runMicroExperiment(Harness &H) {
   return R;
 }
 
+bool greenweb::governors::isKnown(std::string_view Name) {
+  for (const char *Known : {Perf, Interactive, Ondemand, Powersave, Ebs,
+                            GreenWebI, GreenWebU, PredictiveI, PredictiveU})
+    if (Name == Known)
+      return true;
+  return false;
+}
+
 ExperimentResult greenweb::runExperiment(const ExperimentConfig &Config) {
   GW_PROF_SCOPE("workloads.experiment");
+  if (!governors::isKnown(Config.GovernorName))
+    throw std::invalid_argument("unknown governor '" + Config.GovernorName +
+                                "'");
   ExperimentConfig C = Config;
   uint64_t PoolNs = 0;
   if (!C.Warm && C.WarmPool) {

@@ -27,6 +27,7 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace greenweb {
@@ -50,6 +51,9 @@ inline constexpr const char *GreenWebI = "GreenWeb-I";
 inline constexpr const char *GreenWebU = "GreenWeb-U";
 inline constexpr const char *PredictiveI = "Predictive-I";
 inline constexpr const char *PredictiveU = "Predictive-U";
+/// True if \p Name is one of the names above; runExperiment throws
+/// std::invalid_argument for any other.
+bool isKnown(std::string_view Name);
 } // namespace governors
 
 /// One experiment's configuration.

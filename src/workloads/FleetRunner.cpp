@@ -9,6 +9,7 @@
 #include "greenweb/Features.h"
 #include "greenweb/Governors.h"
 #include "hw/AcmpChip.h"
+#include "profiling/Profiler.h"
 #include "profiling/RunMeta.h"
 #include "sim/Simulator.h"
 #include "support/StringUtils.h"
@@ -22,6 +23,7 @@
 #include <cstdio>
 #include <exception>
 #include <fstream>
+#include <memory>
 #include <sstream>
 
 using namespace greenweb;
@@ -105,6 +107,22 @@ bool greenweb::runFleet(const FleetPlan &Plan, const FleetRunOptions &Opts,
     C.ItemsTotal = Items;
   }
 
+  // One parse of the Predictive model serves every session; a model
+  // the sessions could not use fails the run here, not each session.
+  DecisionTreeModel Model;
+  if (!Plan.ModelPath.empty() &&
+      std::any_of(Plan.Governors.begin(), Plan.Governors.end(),
+                  [](const std::string &G) {
+                    return G == governors::PredictiveI ||
+                           G == governors::PredictiveU;
+                  })) {
+    std::string Text, ModelError;
+    if (!readWholeFile(Plan.ModelPath, Text))
+      return Fail("cannot read model file " + Plan.ModelPath);
+    if (!DecisionTreeModel::parse(Text, Model, &ModelError))
+      return Fail("model file " + Plan.ModelPath + ": " + ModelError);
+  }
+
   std::ofstream Features;
   if (!Opts.FeaturesPath.empty()) {
     if (Opts.Resume)
@@ -135,6 +153,7 @@ bool greenweb::runFleet(const FleetPlan &Plan, const FleetRunOptions &Opts,
   // named black box still exists.
   std::vector<std::string> Displaced;
   auto WriteCheckpoint = [&] {
+    GW_PROF_SCOPE("workloads.fleet_checkpoint");
     if (!writeFileAtomic(Opts.CheckpointPath, C.serialize(), Error))
       return false;
     for (const std::string &Ref : Displaced)
@@ -184,21 +203,22 @@ bool greenweb::runFleet(const FleetPlan &Plan, const FleetRunOptions &Opts,
 
     // Per-item fold inputs, filled by the per-job hook on worker
     // threads (distinct slots per index, so no synchronization needed).
+    // A run's flight recorder is kept only if it dumped, and its dumps
+    // are formatted only if the device makes the worst-k list.
     std::vector<RunSample> Samples(Configs.size());
-    std::vector<std::string> BlackBoxes(Configs.size());
+    std::vector<std::unique_ptr<FlightRecorder>> Recorders(Configs.size());
     std::vector<std::vector<FeatureRow>> FeatureSlots;
     if (Features.is_open()) {
       FeatureSlots.resize(Configs.size());
       for (size_t I = 0; I < Configs.size(); ++I)
         Configs[I].FeatureRows = &FeatureSlots[I];
     }
-
-    Telemetry Shared; // Throwaway: per-run hubs are what we harvest.
-    Shared.setLogCapacity(0);
+    if (Model.loaded())
+      for (ExperimentConfig &Config : Configs)
+        Config.Model = &Model;
 
     ParallelExperimentOptions POpts;
     POpts.Jobs = Opts.Jobs;
-    POpts.SharedTel = &Shared;
     POpts.JobLogCapacity = 0;
     POpts.EnableDetectors = true;
     POpts.EnableFlightRecorder = true;
@@ -212,13 +232,13 @@ bool greenweb::runFleet(const FleetPlan &Plan, const FleetRunOptions &Opts,
                      static_cast<unsigned long long>(Batches));
     if (Opts.Progress)
       POpts.Progress = &Progress;
-    POpts.PerJobHook = [&Samples, &BlackBoxes](
+    POpts.PerJobHook = [&Samples, &Recorders, Durable](
                            size_t I, const ExperimentResult &Result,
                            Telemetry &Hub) {
       Samples[I] = makeRunSample(Result, &Hub);
-      if (const FlightRecorder *FR = Hub.flightRecorder())
-        if (!FR->dumps().empty())
-          BlackBoxes[I] = FR->dumpsJson();
+      if (const FlightRecorder *FR = Hub.flightRecorder();
+          Durable && FR && !FR->dumps().empty())
+        Recorders[I] = Hub.takeFlightRecorder();
     };
 
     try {
@@ -245,47 +265,52 @@ bool greenweb::runFleet(const FleetPlan &Plan, const FleetRunOptions &Opts,
         NamedBefore.push_back(D.BlackBoxRef);
 
     // Fold in item order — the one order every invocation shares.
-    FleetShardRollup Rollup;
-    Rollup.Shard = B;
-    Rollup.FirstItem = First;
-    Rollup.Items = Count;
-    Rollup.WorstViolationPct = -1.0;
-    for (size_t I = 0; I < Samples.size(); ++I) {
-      const RunSample &S = Samples[I];
-      const FleetPlanItem &Item = BatchItems[I];
-      C.State.Agg.addRun(S);
-      C.State.noteWarmKey(Item.warmKey());
-      Rollup.QosViolations += S.QosViolations;
-      Rollup.Alerts += S.Alerts;
-      Rollup.Joules += S.Joules;
-      if (S.ViolationPct > Rollup.WorstViolationPct) {
-        Rollup.WorstViolationPct = S.ViolationPct;
-        Rollup.WorstItem = Item.Index;
-        Rollup.WorstLabel = Item.label();
+    {
+      GW_PROF_SCOPE("workloads.fleet_fold");
+      FleetShardRollup Rollup;
+      Rollup.Shard = B;
+      Rollup.FirstItem = First;
+      Rollup.Items = Count;
+      Rollup.WorstViolationPct = -1.0;
+      for (size_t I = 0; I < Samples.size(); ++I) {
+        const RunSample &S = Samples[I];
+        const FleetPlanItem &Item = BatchItems[I];
+        C.State.Agg.addRun(S);
+        C.State.noteWarmKey(Item.warmKey());
+        Rollup.QosViolations += S.QosViolations;
+        Rollup.Alerts += S.Alerts;
+        Rollup.Joules += S.Joules;
+        if (S.ViolationPct > Rollup.WorstViolationPct) {
+          Rollup.WorstViolationPct = S.ViolationPct;
+          Rollup.WorstItem = Item.Index;
+          Rollup.WorstLabel = Item.label();
+        }
+        FleetWorstDevice D;
+        D.Item = Item.Index;
+        D.Label = Item.label();
+        D.ViolationPct = S.ViolationPct;
+        D.Joules = S.Joules;
+        D.Alerts = S.Alerts;
+        if (Recorders[I])
+          D.BlackBoxRef = blackBoxRef(Item.Index);
+        C.State.noteDevice(std::move(D));
       }
-      FleetWorstDevice D;
-      D.Item = Item.Index;
-      D.Label = Item.label();
-      D.ViolationPct = S.ViolationPct;
-      D.Joules = S.Joules;
-      D.Alerts = S.Alerts;
-      if (Durable && !BlackBoxes[I].empty())
-        D.BlackBoxRef = blackBoxRef(Item.Index);
-      C.State.noteDevice(std::move(D));
+      if (Rollup.WorstViolationPct < 0.0)
+        Rollup.WorstViolationPct = 0.0;
+      C.State.Shards.push_back(std::move(Rollup));
     }
-    if (Rollup.WorstViolationPct < 0.0)
-      Rollup.WorstViolationPct = 0.0;
-    C.State.Shards.push_back(std::move(Rollup));
 
     // Persist black boxes for batch devices that made the worst-k cut;
     // the checkpoint names each one, so a failed write fails the run.
     if (Durable) {
+      GW_PROF_SCOPE("workloads.fleet_blackbox_write");
       for (const FleetWorstDevice &D : C.State.Worst) {
         if (D.Item < First || D.Item >= First + Count ||
             D.BlackBoxRef.empty())
           continue;
-        if (!writeFileAtomic(BlackBoxPath(D.BlackBoxRef),
-                             BlackBoxes[size_t(D.Item - First)], Error))
+        if (!writeFileAtomic(
+                BlackBoxPath(D.BlackBoxRef),
+                Recorders[size_t(D.Item - First)]->dumpsJson(), Error))
           return false;
       }
       for (const std::string &Ref : NamedBefore)
@@ -310,12 +335,11 @@ bool greenweb::runFleet(const FleetPlan &Plan, const FleetRunOptions &Opts,
   }
 
   Out.Complete = !Stopped && C.doneCount() == Items;
-  if (Out.Complete) {
-    FleetReport Report = FleetReport::fromCheckpoint(C);
-    C.ReportJson = Report.toJson();
-    Out.Report = std::move(Report);
-  } else {
+  {
+    GW_PROF_SCOPE("workloads.fleet_report");
     Out.Report = FleetReport::fromCheckpoint(C);
+    if (Out.Complete)
+      C.ReportJson = Out.Report.toJson();
   }
   if (Durable && (SinceCheckpoint > 0 || Out.Complete))
     if (!WriteCheckpoint())

@@ -19,7 +19,10 @@
 /// anomaly detectors, the flight recorder (black-box dumps of worst
 /// devices persist next to the checkpoint; only those the checkpoint
 /// names stay on disk), and a fleet-wide WarmCache so every (app, seed)
-/// page is built once per process.
+/// page is built once per process. A hub is freed as soon as its run's
+/// fold inputs are harvested; only the flight recorder of a run that
+/// dumped is kept, and it is serialized only if the device makes the
+/// worst-k list. A Predictive model is parsed once per call.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -73,8 +76,9 @@ struct FleetRunSummary {
 };
 
 /// Runs (or resumes) \p Plan. Returns false with \p Error set on
-/// checkpoint mismatch/corruption, unwritable checkpoint path, or a
-/// failing run.
+/// checkpoint mismatch/corruption, unwritable checkpoint path, an
+/// unreadable or unparsable model for the plan's Predictive governors
+/// (before any item runs), or a failing run.
 bool runFleet(const FleetPlan &Plan, const FleetRunOptions &Opts,
               FleetRunSummary &Out, std::string *Error = nullptr);
 

@@ -86,10 +86,12 @@ std::vector<ExperimentResult>
 greenweb::runExperimentsParallel(const std::vector<ExperimentConfig> &Configs,
                                  const ParallelExperimentOptions &Opts) {
   std::vector<ExperimentResult> Results(Configs.size());
-  // Private hubs live until the ordered merge below, even for runs that
-  // finish early.
+  // Private hubs exist for the shared merge or for the hook. Merged hubs
+  // live until the ordered merge below; without a shared hub, each one
+  // is freed as soon as its hook has run.
+  const bool PrivateHubs = Opts.SharedTel || Opts.PerJobHook;
   std::vector<std::unique_ptr<Telemetry>> Hubs(
-      Opts.SharedTel ? Configs.size() : 0);
+      PrivateHubs ? Configs.size() : 0);
 
   ParallelRunner Runner(Opts.Jobs);
   const bool Timed = Opts.Sched || Opts.Progress;
@@ -118,7 +120,7 @@ greenweb::runExperimentsParallel(const std::vector<ExperimentConfig> &Configs,
   Runner.forEachIndexWorker(Configs.size(), [&](unsigned Worker, size_t I) {
     int64_t T0 = Timed ? HostNs() : 0;
     ExperimentConfig Config = Configs[I];
-    if (Opts.SharedTel) {
+    if (PrivateHubs) {
       Hubs[I] = std::make_unique<Telemetry>();
       Hubs[I]->setLogCapacity(Opts.JobLogCapacity);
       if (Opts.EnableDetectors)
@@ -138,9 +140,13 @@ greenweb::runExperimentsParallel(const std::vector<ExperimentConfig> &Configs,
                      ? runExperiment(Config)
                      : runExperimentMedian(Config, Opts.MedianSeeds);
     int64_t T2 = Timed ? HostNs() : 0;
-    if (Opts.PerJobHook && Opts.SharedTel)
+    if (Opts.PerJobHook)
       Opts.PerJobHook(I, Results[I], *Hubs[I]);
     int64_t T3 = Timed ? HostNs() : 0;
+    const int64_t HubRecords =
+        PrivateHubs ? int64_t(Hubs[I]->log().size()) : 0;
+    if (PrivateHubs && !Opts.SharedTel)
+      Hubs[I].reset();
     if (Opts.Sched) {
       SchedItem Item;
       Item.Item = I;
@@ -156,8 +162,7 @@ greenweb::runExperimentsParallel(const std::vector<ExperimentConfig> &Configs,
       Item.SetupNs = (T1 - T0) + RunSetup;
       Item.SimNs = (T2 - T1) - RunSetup;
       Item.HookNs = T3 - T2;
-      Item.HubRecords =
-          Opts.SharedTel ? int64_t(Hubs[I]->log().size()) : 0;
+      Item.HubRecords = HubRecords;
       Opts.Sched->record(std::move(Item));
     }
     if (Opts.Progress)

@@ -79,32 +79,37 @@ struct ParallelExperimentOptions {
   /// When set, each run gets a private Telemetry hub whose metrics and
   /// log are merged into this hub in config index order after the whole
   /// batch completes. The configs' own Tel pointers are ignored (they
-  /// would race); leave null to run without instrumentation.
+  /// would race); leave null (and PerJobHook unset) to run without
+  /// instrumentation.
   Telemetry *SharedTel = nullptr;
   /// Non-empty: run each config through runExperimentMedian over these
   /// seeds (the paper's three-run protocol). Empty: single runExperiment.
   std::vector<uint64_t> MedianSeeds;
   /// Log-record cap applied to each per-run private hub (and therefore
-  /// a bound on merged log growth per run). Defaults to metrics-only,
-  /// the right setting for sweeps; artifact-exporting callers re-run
-  /// the chosen config serially with a full hub instead.
+  /// a bound on merged log growth per run). Private hubs exist when
+  /// SharedTel or PerJobHook is set; the same holds for the two
+  /// Enable* switches below. Defaults to metrics-only, the right
+  /// setting for sweeps; artifact-exporting callers re-run the chosen
+  /// config serially with a full hub instead.
   size_t JobLogCapacity = 0;
   /// Optional per-run hook invoked on the worker thread after run I
-  /// completes, with that run's private hub (valid only when SharedTel
-  /// is set). Runs concurrently across workers; touch only the given
-  /// hub and the result.
+  /// completes, with that run's private hub. Setting it gives every run
+  /// a private hub even without SharedTel; such a hub is freed right
+  /// after its hook, so a caller that only harvests per-run results
+  /// never holds a batch of hubs. Runs concurrently across workers;
+  /// touch only the given hub and the result.
   std::function<void(size_t, const ExperimentResult &, Telemetry &)>
       PerJobHook;
-  /// When set (and SharedTel is set), every per-run private hub gets
-  /// the online anomaly detectors. Alert records bypass JobLogCapacity,
-  /// so even a metrics-only sweep merges a complete alert stream into
-  /// SharedTel — in config index order, hence deterministic.
+  /// When set, every per-run private hub gets the online anomaly
+  /// detectors. Alert records bypass JobLogCapacity, so even a
+  /// metrics-only sweep merges a complete alert stream into SharedTel —
+  /// in config index order, hence deterministic.
   bool EnableDetectors = false;
-  /// When set (and SharedTel is set), every per-run private hub also
-  /// gets the flight recorder, so a run that trips a trigger leaves
-  /// black-box dumps retrievable from its hub in PerJobHook (the fleet
-  /// driver persists them as worst-device black-box refs). Ring copies
-  /// are cheap; dumps only materialize on triggers.
+  /// When set, every per-run private hub also gets the flight
+  /// recorder, so a run that trips a trigger leaves black-box dumps
+  /// retrievable from its hub in PerJobHook (runFleet keeps the
+  /// recorder and persists its dumps as worst-device black-box refs).
+  /// Ring copies are cheap; dumps only materialize on triggers.
   bool EnableFlightRecorder = false;
   /// When set, every run's headline RunSample is folded into this
   /// aggregator after the batch completes, in config index order (the

@@ -133,3 +133,40 @@ TEST(DomTest, UserInputEventClassification) {
   EXPECT_FALSE(isUserInputEvent("mouseover"));
   EXPECT_FALSE(isUserInputEvent("drag"));
 }
+
+TEST(DomTest, ElementCountCacheTracksAppends) {
+  Document Doc;
+  auto Walk = [](Document &D) {
+    size_t N = 0;
+    D.forEachElement([&N](Element &) { ++N; });
+    return N;
+  };
+  Element *Body = Doc.root().createChild("body");
+  EXPECT_EQ(Doc.elementCount(), Walk(Doc));
+  Body->createChild("div");
+  EXPECT_EQ(Doc.elementCount(), 3u);
+
+  // A detached subtree grows without changing the tree's count...
+  std::unique_ptr<Element> Detached = Doc.createElement("section");
+  Detached->createChild("p");
+  Detached->createChild("p")->createChild("span");
+  EXPECT_EQ(Doc.elementCount(), Walk(Doc));
+  EXPECT_EQ(Doc.elementCount(), 3u);
+  // ...and attaching it adds the whole subtree at once.
+  Body->appendChild(std::move(Detached));
+  EXPECT_EQ(Doc.elementCount(), Walk(Doc));
+  EXPECT_EQ(Doc.elementCount(), 7u);
+
+  // A clone counts its own tree, and appends to either side stay
+  // separate.
+  std::unique_ptr<Document> Copy = Doc.clone();
+  EXPECT_EQ(Copy->elementCount(), Walk(*Copy));
+  EXPECT_EQ(Copy->elementCount(), 7u);
+  Copy->root().createChild("footer");
+  EXPECT_EQ(Copy->elementCount(), Walk(*Copy));
+  EXPECT_EQ(Copy->elementCount(), 8u);
+  EXPECT_EQ(Doc.elementCount(), 7u);
+  Doc.root().createChild("aside");
+  EXPECT_EQ(Doc.elementCount(), Walk(Doc));
+  EXPECT_EQ(Copy->elementCount(), 8u);
+}

@@ -86,6 +86,33 @@ TEST(JsonTest, RejectsTrailingContent) {
   EXPECT_TRUE(json::parse("  {\"a\":1}  \n").has_value());
 }
 
+TEST(JsonTest, BoundsNestingDepth) {
+  // The parser recurses per level: hostile nesting must be refused with
+  // the bound named, not crash on stack exhaustion.
+  std::string Error;
+  std::string Deep(200000, '[');
+  EXPECT_FALSE(json::parse(Deep, &Error).has_value());
+  EXPECT_NE(Error.find("nesting deeper than 256 levels"), std::string::npos)
+      << Error;
+  std::string DeepObject;
+  for (int I = 0; I < 300; ++I)
+    DeepObject += "{\"a\":";
+  EXPECT_FALSE(json::parse(DeepObject, &Error).has_value());
+  EXPECT_NE(Error.find("nesting deeper"), std::string::npos) << Error;
+
+  // Exactly at the bound still parses, and the depth count unwinds on
+  // close, so siblings do not accumulate.
+  size_t N = json::MaxNestingDepth;
+  std::string AtBound = std::string(N, '[') + std::string(N, ']');
+  EXPECT_TRUE(json::parse(AtBound).has_value());
+  EXPECT_FALSE(json::parse("[" + AtBound + "]").has_value());
+  std::string Siblings = "[" + std::string(N - 1, '[') +
+                         std::string(N - 1, ']') + "," +
+                         std::string(N - 1, '[') + std::string(N - 1, ']') +
+                         "]";
+  EXPECT_TRUE(json::parse(Siblings).has_value());
+}
+
 TEST(JsonTest, AccessorsAreTypeSafe) {
   auto V = json::parse("{\"s\": \"x\", \"n\": 5}");
   ASSERT_TRUE(V.has_value());

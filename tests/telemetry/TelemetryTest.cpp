@@ -7,6 +7,7 @@
 #include "telemetry/Telemetry.h"
 
 #include "sim/Simulator.h"
+#include "telemetry/FlightRecorder.h"
 
 #include "MiniJson.h"
 
@@ -186,6 +187,54 @@ TEST(TelemetryTest, MetricsOnlyModeKeepsLogEmpty) {
   T.recordQosViolation({"EBS", 1, "k", 40.0, 16.7});
   EXPECT_TRUE(T.log().empty());
   EXPECT_EQ(T.metrics().counter("qos.violations").value(), 1u);
+}
+
+TEST(TelemetryTest, CachedHandlesFeedTheNamedMetrics) {
+  Telemetry T;
+  T.setLogCapacity(1);
+  // Handles are looked up on first use: an idle hub registers nothing.
+  EXPECT_EQ(T.metrics().size(), 0u);
+  T.recordFrameStage({1, "style", 2.0});
+  T.recordFrameStage({1, "layout", 3.0});
+  T.recordFrameStage({2, "style", 4.0});
+  T.recordFrame(20.0);
+  T.recordFrame(5.0);
+  T.recordConfigSwitch({"A7@350MHz", "A15@1800MHz", 1, 1800, 1, 1, 50.0});
+  GovernorDecisionRecord D;
+  T.recordGovernorDecision(D);
+  const MetricsRegistry &M = T.metrics();
+  ASSERT_NE(M.findHistogram("browser.stage_style_ms"), nullptr);
+  EXPECT_EQ(M.findHistogram("browser.stage_style_ms")->summary().count(),
+            2u);
+  EXPECT_EQ(M.findHistogram("browser.stage_layout_ms")->summary().count(),
+            1u);
+  EXPECT_EQ(M.findCounter("browser.frames")->value(), 2u);
+  EXPECT_DOUBLE_EQ(
+      M.findHistogram("browser.frame_latency_ms")->summary().max(), 20.0);
+  EXPECT_EQ(M.findCounter("hw.freq_switches")->value(), 1u);
+  EXPECT_EQ(M.findCounter("hw.migrations")->value(), 1u);
+  EXPECT_EQ(M.findCounter("governor.decisions")->value(), 1u);
+  // Five log records (recordFrame adds none): one fit, four dropped.
+  EXPECT_EQ(M.findCounter("telemetry.dropped_records")->value(), 4u);
+  EXPECT_EQ(T.log().size(), 1u);
+}
+
+TEST(TelemetryTest, TakeFlightRecorderDetachesIt) {
+  Telemetry T;
+  T.setLogCapacity(0);
+  T.enableFlightRecorder();
+  T.recordFaultEvent({"thermal_throttle", "begin", "cap 800 MHz", 800.0});
+  std::string Before = T.flightRecorder()->dumpsJson();
+
+  std::unique_ptr<FlightRecorder> FR = T.takeFlightRecorder();
+  ASSERT_NE(FR, nullptr);
+  EXPECT_EQ(T.flightRecorder(), nullptr);
+  ASSERT_EQ(FR->dumps().size(), 1u);
+  EXPECT_EQ(FR->dumpsJson(), Before);
+  // Later records reach no ring, and a second take yields nothing.
+  T.recordFaultEvent({"thermal_throttle", "end", "", 0.0});
+  EXPECT_EQ(FR->recordsObserved(), 1u);
+  EXPECT_EQ(T.takeFlightRecorder(), nullptr);
 }
 
 TEST(TelemetryTest, JsonlExportIsValidAndEscaped) {

@@ -8,6 +8,8 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 using namespace greenweb;
 
 namespace {
@@ -24,6 +26,21 @@ ExperimentResult run(const std::string &App, const std::string &Gov,
 }
 
 } // namespace
+
+TEST(ExperimentTest, UnknownGovernorIsRejected) {
+  EXPECT_TRUE(governors::isKnown(governors::PredictiveU));
+  EXPECT_TRUE(governors::isKnown("EBS"));
+  EXPECT_FALSE(governors::isKnown("NoSuchGov"));
+  EXPECT_FALSE(governors::isKnown(""));
+  try {
+    run("BBC", "NoSuchGov");
+    FAIL() << "runExperiment accepted an unknown governor";
+  } catch (const std::invalid_argument &E) {
+    EXPECT_NE(std::string(E.what()).find("unknown governor 'NoSuchGov'"),
+              std::string::npos)
+        << E.what();
+  }
+}
 
 TEST(ExperimentTest, DeterministicAcrossRuns) {
   ExperimentResult A = run("Todo", governors::GreenWebI);

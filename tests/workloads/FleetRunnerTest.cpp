@@ -7,6 +7,8 @@
 #include "workloads/FleetRunner.h"
 
 #include "support/StringUtils.h"
+#include "telemetry/FlightRecorder.h"
+#include "telemetry/Telemetry.h"
 
 #include <gtest/gtest.h>
 
@@ -418,6 +420,77 @@ TEST(FleetRunnerTest, UnwritableBlackBoxFailsTheRun) {
   for (const std::string &Blocker : Blockers)
     std::filesystem::remove_all(Blocker);
   removeFleetArtifacts(Path);
+}
+
+TEST(FleetRunnerTest, BlackBoxesMatchStandaloneRuns) {
+  // Oracle: every black box the fleet writes is the dumpsJson() of the
+  // same item run alone, cold, on a fresh hub set up like the fleet's.
+  FleetPlan Plan = displacingPlan();
+  std::string Path = tempPath("bb_oracle.ckpt");
+  removeFleetArtifacts(Path);
+  FleetRunOptions Opts;
+  Opts.Jobs = 2;
+  Opts.BatchSize = 4;
+  Opts.CheckpointPath = Path;
+  FleetRunSummary S;
+  std::string Error;
+  ASSERT_TRUE(runFleet(Plan, Opts, S, &Error)) << Error;
+  ASSERT_TRUE(S.Complete);
+
+  size_t Checked = 0;
+  for (const FleetWorstDevice &D : S.Report.State.Worst) {
+    if (D.BlackBoxRef.empty())
+      continue;
+    Telemetry Hub;
+    Hub.setLogCapacity(0);
+    Hub.enableAnomalyDetectors();
+    Hub.enableFlightRecorder();
+    ExperimentConfig Config = Plan.config(Plan.item(D.Item));
+    Config.Tel = &Hub;
+    runExperiment(Config);
+    ASSERT_NE(Hub.flightRecorder(), nullptr);
+    EXPECT_EQ(slurp(Path + "." + D.BlackBoxRef + BlackBoxSuffix),
+              Hub.flightRecorder()->dumpsJson())
+        << D.BlackBoxRef;
+    ++Checked;
+  }
+  EXPECT_GT(Checked, 0u);
+  removeFleetArtifacts(Path);
+}
+
+TEST(FleetRunnerTest, UnusableModelFailsUpFront) {
+  // The Predictive model is parsed once per run; a model that cannot
+  // be read or parsed fails the run before any session, naming the
+  // file, instead of every session silently falling back.
+  FleetPlan Plan = smallPlan();
+  Plan.Governors = {governors::Perf, governors::PredictiveI};
+  std::string Ckpt = tempPath("bad_model.ckpt");
+  removeFleetArtifacts(Ckpt);
+  FleetRunOptions Opts;
+  Opts.Jobs = 1;
+  Opts.CheckpointPath = Ckpt;
+
+  Plan.ModelPath = tempPath("no_such_model.json");
+  std::remove(Plan.ModelPath.c_str());
+  FleetRunSummary S;
+  std::string Error;
+  EXPECT_FALSE(runFleet(Plan, Opts, S, &Error));
+  EXPECT_NE(Error.find("cannot read model file " + Plan.ModelPath),
+            std::string::npos)
+      << Error;
+
+  Plan.ModelPath = tempPath("garbage_model.json");
+  {
+    std::ofstream Out(Plan.ModelPath, std::ios::binary | std::ios::trunc);
+    Out << "{\"kind\":\"not_a_model\"}";
+  }
+  EXPECT_FALSE(runFleet(Plan, Opts, S, &Error));
+  EXPECT_NE(Error.find("model file " + Plan.ModelPath), std::string::npos)
+      << Error;
+  EXPECT_NE(Error.find("kind mismatch"), std::string::npos) << Error;
+  EXPECT_EQ(S.ItemsRun, 0u);
+  EXPECT_FALSE(std::filesystem::exists(Ckpt));
+  std::remove(Plan.ModelPath.c_str());
 }
 
 } // namespace

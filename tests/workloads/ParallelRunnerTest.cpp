@@ -295,6 +295,38 @@ TEST(ParallelRunnerTest, PerJobHookSeesEveryRunOnItsPrivateHub) {
             double(Configs.size()));
 }
 
+TEST(ParallelRunnerTest, HookWithoutSharedHubStillGetsPrivateHubs) {
+  // A hook alone gives every run a private hub set up from the options
+  // (the fleet harvests results this way without a throwaway merge),
+  // and the hub it sees carries the same metrics as a merged one.
+  std::vector<ExperimentConfig> Configs = sweepConfigs();
+  auto Harvest = [&](Telemetry *Shared) {
+    std::vector<uint64_t> Frames(Configs.size());
+    ParallelExperimentOptions Opts;
+    Opts.Jobs = 2;
+    Opts.SharedTel = Shared;
+    Opts.EnableDetectors = true;
+    Opts.EnableFlightRecorder = true;
+    Opts.PerJobHook = [&Frames](size_t I, const ExperimentResult &,
+                                Telemetry &T) {
+      EXPECT_NE(T.detectors(), nullptr);
+      EXPECT_NE(T.flightRecorder(), nullptr);
+      EXPECT_TRUE(T.log().records().size() ==
+                  T.log().byKind(TelemetryEventKind::Alert).size());
+      const Counter *C = T.metrics().findCounter("browser.frames");
+      Frames[I] = C ? C->value() : 0;
+    };
+    runExperimentsParallel(Configs, Opts);
+    return Frames;
+  };
+  std::vector<uint64_t> HookOnly = Harvest(nullptr);
+  Telemetry Shared;
+  Shared.setLogCapacity(0);
+  EXPECT_EQ(HookOnly, Harvest(&Shared));
+  for (uint64_t F : HookOnly)
+    EXPECT_GT(F, 0u);
+}
+
 TEST(ParallelRunnerTest, SchedTraceRecordsEveryItemExactlyOnce) {
   std::vector<ExperimentConfig> Configs = sweepConfigs();
   Telemetry Tel;
